@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race cover bench bench-json ci fig3 fig4 ablations verify test-faults test-fastbcc test-obs lint-obs fuzz-durable fuzz-shard test-shard test-incr fuzz-incr race-service test-crash test-repl test-failover test-scrub fuzz-repl test-plan fuzz-plan fmt vet clean
+.PHONY: all build test race cover bench bench-json ci fig3 fig4 ablations verify test-faults test-fastbcc test-obs lint-obs fuzz-durable fuzz-shard test-shard test-incr fuzz-incr race-service test-crash test-repl test-failover test-scrub fuzz-repl test-plan fuzz-plan vet-bench fmt vet clean
 
 all: build test
 
@@ -153,16 +153,17 @@ test-scrub:
 	$(GO) test ./cmd/bccd -run 'BitRot' -count=1 -v
 
 # Adaptive-planner suite. test-plan runs (race-enabled) the plan package's
-# golden decision table and breaker-filter property tests, the library's
-# planner-wiring tests, and the service tests: the fast-bcc-at-p=1
-# acceptance check, ?explain=1 echo-vs-dispatch, open-breaker avoidance,
-# the planner-on vs planner-off differential harness (BCC + incr mutations
-# + shard endpoints, byte-equal answers), and the /statsz plan golden.
+# golden decision table and breaker-filter property tests, and the service
+# tests: the fast-bcc-at-p=1 acceptance check, ?explain=1 echo-vs-dispatch,
+# off-mode auto sharing cache entries with explicit queries, open-breaker
+# avoidance, the planner-on vs planner-off differential harness (BCC + incr
+# mutations + shard endpoints, byte-equal answers), and the /statsz plan
+# golden.
 # fuzz-plan hammers feature extraction with arbitrary graph shapes: no
 # panics, every bucket class in range.
 test-plan:
 	$(GO) test -race ./internal/plan -count=1
-	$(GO) test -race -run 'Plan' . ./internal/service -count=1
+	$(GO) test -race -run 'Plan' ./internal/service -count=1
 
 fuzz-plan:
 	$(GO) test ./internal/plan -run FuzzNothing -fuzz FuzzFeatures -fuzztime $(FUZZTIME)
@@ -176,6 +177,13 @@ fuzz-repl:
 	$(GO) test ./internal/repl -run FuzzNothing -fuzz FuzzParseU64 -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/repl -run FuzzNothing -fuzz FuzzParseU32 -fuzztime $(FUZZTIME)
 
+# The benchmark driver is its own module (bccdbench/go.mod) built against
+# the root package, so the root `go vet ./...` never sees it. Vet it in the
+# environment bccdbench/run.sh uses, so a root API change cannot silently
+# break the benchmark.
+vet-bench:
+	cd bccdbench && GOPROXY=off GOWORK=off $(GO) vet .
+
 # Static analysis for the obs package beyond go vet. staticcheck is optional:
 # the target degrades to a notice when the tool isn't installed.
 lint-obs:
@@ -186,8 +194,9 @@ lint-obs:
 		echo "lint-obs: staticcheck not installed, skipped"; \
 	fi
 
-# The gate run before merging: static checks, race-clean tests, the
-# fault-isolation suite, the observability suite, the durability suite
+# The gate run before merging: static checks (the benchmark driver
+# included), race-clean tests, the fault-isolation suite, the
+# observability suite, the durability suite
 # (decoder fuzzing, race-enabled service tests, crash harness), the shard
 # suite (differential harness + codec fuzzing), the incremental suite
 # (mutation differential harness + delta fuzzing), the replication suite
@@ -195,7 +204,7 @@ lint-obs:
 # self-healing suite (scrubber + bit-rot chaos harness + repl frame
 # fuzzing), the adaptive-planner suite (golden decision table + differential
 # harness + feature fuzzing), and a benchmark snapshot.
-ci: vet lint-obs race test-fastbcc test-faults test-obs fuzz-durable test-shard fuzz-shard test-incr fuzz-incr race-service test-crash test-repl test-failover test-scrub fuzz-repl test-plan fuzz-plan bench-json
+ci: vet vet-bench lint-obs race test-fastbcc test-faults test-obs fuzz-durable test-shard fuzz-shard test-incr fuzz-incr race-service test-crash test-repl test-failover test-scrub fuzz-repl test-plan fuzz-plan bench-json
 
 fmt:
 	gofmt -l -w .

@@ -51,3 +51,20 @@ func TestHistogramPeekDoesNotCreate(t *testing.T) {
 		t.Fatal("FindHistogram returned a counter family")
 	}
 }
+
+// TestCounterVecValues pins the counter read-back: nil before any series
+// exists, then one entry per label value carrying the live count.
+func TestCounterVecValues(t *testing.T) {
+	r := NewRegistry()
+	v := r.CounterVec("values_test_total", "t", "engine")
+	if got := v.Values(); got != nil {
+		t.Fatalf("Values before any With = %v, want nil", got)
+	}
+	v.With("fast-bcc").Add(2)
+	v.With("sequential").Inc()
+	v.Func(func() int64 { return 7 }, "tv-opt")
+	got := v.Values()
+	if len(got) != 3 || got["fast-bcc"] != 2 || got["sequential"] != 1 || got["tv-opt"] != 7 {
+		t.Fatalf("Values = %v", got)
+	}
+}

@@ -250,6 +250,27 @@ func (v *HistogramVec) Peek(values ...string) (*Histogram, bool) {
 	return ch.h, true
 }
 
+// Values reads back every series of a one-label counter family, keyed by
+// its label value; nil when the family has no series yet. Like Peek it
+// never creates anything, so a component can report the counts it exports
+// without keeping a second copy of them.
+func (v *CounterVec) Values() map[string]int64 {
+	children := v.fam.sortedChildren()
+	if len(children) == 0 {
+		return nil
+	}
+	out := make(map[string]int64, len(children))
+	for _, ch := range children {
+		k := childKey(ch.values)
+		if ch.c != nil {
+			out[k] = ch.c.Load()
+		} else {
+			out[k] = ch.cf()
+		}
+	}
+	return out
+}
+
 // FindHistogram looks up an already-registered histogram series by family
 // name and label values, without creating the family or the series. It is
 // the cross-package read-back hook: components that only know a metric's

@@ -13,8 +13,8 @@ import (
 )
 
 // Config parameterizes a Planner. The zero value is usable: all engines
-// allowed, adaptive mode, default exploration cadence, metrics on the
-// process-wide registry.
+// allowed, adaptive mode, default exploration cadence, metrics on a private
+// registry.
 type Config struct {
 	// MaxProcs caps the parallelism degree the planner may choose; 0 means
 	// par.Procs(0) (GOMAXPROCS).
@@ -39,18 +39,19 @@ type Config struct {
 	// the winner, so the online model keeps learning about near-misses.
 	// 0 means the default (every 16th); negative disables exploration.
 	ExploreEvery int
-	// PriorWeight is the pseudo-sample count backing the prior when blending
-	// with observed means; 0 means the default (3). Higher values make the
-	// planner slower to abandon the paper's rule.
-	PriorWeight int
-	// Registry receives the bicc_plan_* metrics; nil means obs.Default().
+	// Registry receives the bicc_plan_* metrics, which are also the counts
+	// Snapshot reports; nil means a private registry, so two planners never
+	// share counts.
 	Registry *obs.Registry
 }
 
 // Defaults for Config zero values.
 const (
 	defaultExploreEvery = 16
-	defaultPriorWeight  = 3
+	// priorWeight is the pseudo-sample count backing the prior when blending
+	// with observed means. Higher values make the planner slower to abandon
+	// the paper's rule.
+	priorWeight = 3
 	// historyWeightCap bounds how many samples the coarse per-engine history
 	// counts for: it is not bucket-specific, so it must never drown out real
 	// per-bucket observations.
@@ -105,12 +106,6 @@ type Planner struct {
 	feats      map[string]Features
 	featOrder  []string
 	bucketSeen map[string]int64 // per-bucket decision counter, drives exploration
-	byEngine   map[string]int64
-	byProcs    map[string]int64
-	total      int64
-	explored   int64
-	fellBack   int64
-	obsCount   int64
 }
 
 // config is Config with defaults resolved.
@@ -118,7 +113,6 @@ type config struct {
 	Config
 	maxProcs     int
 	exploreEvery int
-	priorWeight  float64
 }
 
 // New builds a Planner and registers its bicc_plan_* metric families.
@@ -132,13 +126,9 @@ func New(c Config) *Planner {
 	if rc.exploreEvery == 0 {
 		rc.exploreEvery = defaultExploreEvery
 	}
-	rc.priorWeight = float64(c.PriorWeight)
-	if rc.priorWeight <= 0 {
-		rc.priorWeight = defaultPriorWeight
-	}
 	reg := c.Registry
 	if reg == nil {
-		reg = obs.Default()
+		reg = obs.NewRegistry()
 	}
 	p := &Planner{
 		cfg: rc,
@@ -159,17 +149,9 @@ func New(c Config) *Planner {
 			"Decisions where every candidate engine was filtered out and the planner fell back to sequential."),
 		feats:      map[string]Features{},
 		bucketSeen: map[string]int64{},
-		byEngine:   map[string]int64{},
-		byProcs:    map[string]int64{},
 	}
 	return p
 }
-
-// Frozen reports whether the planner decides from the prior alone.
-func (p *Planner) Frozen() bool { return p.cfg.Frozen }
-
-// MaxProcs returns the effective parallelism cap.
-func (p *Planner) MaxProcs() int { return p.cfg.maxProcs }
 
 // FeaturesOf returns g's feature vector, computing it on first sight and
 // caching by identity afterwards. The key includes the graph's dimensions so
@@ -237,14 +219,6 @@ func (p *Planner) Decide(f Features, pinnedProcs int, explain bool) Decision {
 	if d.Explored {
 		p.explores.Inc()
 	}
-	p.mu.Lock()
-	p.total++
-	p.byEngine[d.Engine]++
-	p.byProcs[strconv.Itoa(d.Procs)]++
-	if d.Explored {
-		p.explored++
-	}
-	p.mu.Unlock()
 	return d
 }
 
@@ -267,9 +241,6 @@ func (p *Planner) score(f Features, pinnedProcs int, bucket string) []Candidate 
 		// Every engine filtered out (all breakers open): sequential is the
 		// supervisor's own last resort, so degrade to it rather than fail.
 		p.fallbacks.Inc()
-		p.mu.Lock()
-		p.fellBack++
-		p.mu.Unlock()
 		cands = append(cands, p.scoreOne(f, Sequential, 1, bucket))
 	}
 	// Stable sort keeps EngineOrder (then ascending procs) as the tie-break.
@@ -288,8 +259,8 @@ func (p *Planner) scoreOne(f Features, engine string, procs int, bucket string) 
 		return c
 	}
 
-	num := prior * p.cfg.priorWeight
-	den := p.cfg.priorWeight
+	num := prior * priorWeight
+	den := float64(priorWeight)
 	if h, ok := p.observed.Peek(engine, strconv.Itoa(procs), bucket); ok {
 		if s := h.Snapshot(); s.Count > 0 {
 			c.ObservedNs = s.MeanN
@@ -337,9 +308,6 @@ func (p *Planner) Observe(f Features, engine string, procs int, d time.Duration)
 	}
 	p.observed.With(engine, strconv.Itoa(procs), f.Bucket()).Observe(d)
 	p.observations.Inc()
-	p.mu.Lock()
-	p.obsCount++
-	p.mu.Unlock()
 }
 
 // Snapshot is the /statsz plan section.
@@ -355,33 +323,26 @@ type Snapshot struct {
 	BucketsSeen  int              `json:"buckets_seen"`
 }
 
-// Snapshot returns current planner counters for reporting.
+// Snapshot returns current planner counters for reporting, read back from
+// the bicc_plan_* metrics so /statsz and /metrics cannot disagree.
 func (p *Planner) Snapshot() Snapshot {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	s := Snapshot{
 		Mode:         "adaptive",
 		MaxProcs:     p.cfg.maxProcs,
-		Decisions:    p.total,
-		Explorations: p.explored,
-		Observations: p.obsCount,
-		Fallbacks:    p.fellBack,
-		BucketsSeen:  len(p.bucketSeen),
+		ByEngine:     p.decisions.Values(),
+		ByProcs:      p.procsCounter.Values(),
+		Explorations: p.explores.Load(),
+		Observations: p.observations.Load(),
+		Fallbacks:    p.fallbacks.Load(),
+	}
+	for _, n := range s.ByEngine {
+		s.Decisions += n
 	}
 	if p.cfg.Frozen {
 		s.Mode = "frozen"
 	}
-	if len(p.byEngine) > 0 {
-		s.ByEngine = make(map[string]int64, len(p.byEngine))
-		for k, v := range p.byEngine {
-			s.ByEngine[k] = v
-		}
-	}
-	if len(p.byProcs) > 0 {
-		s.ByProcs = make(map[string]int64, len(p.byProcs))
-		for k, v := range p.byProcs {
-			s.ByProcs[k] = v
-		}
-	}
+	p.mu.Lock()
+	s.BucketsSeen = len(p.bucketSeen)
+	p.mu.Unlock()
 	return s
 }

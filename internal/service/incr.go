@@ -182,8 +182,9 @@ func (s *Server) incrReconstruct(fp string, g *bicc.Graph, algo bicc.Algorithm, 
 	if !ok {
 		return nil, false
 	}
-	run := bicc.ResolveAlgorithm(g, algo, procs)
-	res, err := bicc.ReconstructResult(g, run, labels)
+	// Shard builds still pass Auto: name the engine runEngine would run.
+	algo, _, _ = s.plans.resolve(g, algo, procs, false)
+	res, err := bicc.ReconstructResult(g, algo, labels)
 	if err != nil {
 		return nil, false
 	}
@@ -199,35 +200,8 @@ func (s *Server) incrServe(fp string, g *bicc.Graph, algo bicc.Algorithm, procs 
 	if !ok {
 		return nil, false
 	}
-	cuts := res.ArticulationPoints()
-	bridges := res.Bridges()
-	out := &queryResult{
-		Algorithm:       res.Algorithm.String(),
-		NumComponents:   res.NumComponents,
-		NumArticulation: len(cuts),
-		NumBridges:      len(bridges),
-		Incr:            true,
-		edgeComp:        res.EdgeComponent,
-	}
-	if include["articulation"] {
-		out.ArticulationPoints = cuts
-	}
-	if include["bridges"] {
-		out.Bridges = bridges
-	}
-	if include["components"] {
-		out.Components = res.Components()
-	}
-	if include["blockcut"] {
-		t := res.BlockCutTree()
-		out.BlockCut = &blockCutJSON{
-			NumBlocks:   t.NumBlocks(),
-			NumNodes:    t.NumNodes(),
-			NumEdges:    t.NumTreeEdges(),
-			CutVertices: t.CutVertices(),
-			LeafBlocks:  t.LeafBlocks(),
-		}
-	}
+	out := newQueryResult(res, include)
+	out.Incr = true
 	out.ElapsedNs = int64(time.Since(start))
 	out.Phases = []map[string]any{{"name": "incr-serve", "ns": out.ElapsedNs}}
 	return out, true

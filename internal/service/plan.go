@@ -11,8 +11,8 @@ import (
 
 // Plan modes accepted by Config.PlanMode and the bccd -plan flag.
 const (
-	// PlanOff keeps the static §4 rule for Auto queries (the default, and
-	// the pre-planner behavior byte for byte).
+	// PlanOff resolves Auto queries by the static §4 rule (the Config
+	// default).
 	PlanOff = "off"
 	// PlanAdaptive plans engine and parallelism per request from graph
 	// features, blending the calibrated prior with observed latencies, and
@@ -34,19 +34,24 @@ func ParsePlanMode(s string) (string, error) {
 	return "", fmt.Errorf("unknown plan mode %q (valid: %s, %s, %s)", s, PlanOff, PlanAdaptive, PlanFrozen)
 }
 
-// planState is the server's adaptive-planner subsystem, nil when PlanMode is
-// off — the same zero-cost-off discipline as durability and sharding.
+// planState is the server's Auto resolution, set once in New: the adaptive
+// planner when PlanMode enables it, the static §4 rule when planner is nil
+// (off).
 type planState struct {
 	planner *plan.Planner
 	mode    string
 }
 
-// newPlanState builds the per-server planner: candidates are filtered by the
-// PR 2 circuit breakers (an open breaker removes its engine from the slate —
-// the non-mutating State check, so planning never consumes half-open probe
-// slots), and cold feature buckets are seeded from the per-algorithm request
-// histograms the server already records.
-func (s *Server) newPlanState(mode string) *planState {
+// newPlanState builds the per-server planner for the adaptive and frozen
+// modes: candidates are filtered by the circuit breakers (an open breaker
+// removes its engine from the slate — the non-mutating State check, so
+// planning never consumes half-open probe slots), and cold feature buckets
+// are seeded from the per-algorithm request histograms the server already
+// records.
+func (s *Server) newPlanState(mode string) planState {
+	if mode == PlanOff {
+		return planState{mode: mode}
+	}
 	cfg := plan.Config{
 		Frozen:   mode == PlanFrozen,
 		Registry: s.metrics,
@@ -63,7 +68,7 @@ func (s *Server) newPlanState(mode string) *planState {
 			return time.Duration(hs.MeanN), hs.Count
 		},
 	}
-	return &planState{planner: plan.New(cfg), mode: mode}
+	return planState{planner: plan.New(cfg), mode: mode}
 }
 
 // planExplain is the ?explain=1 response section: the planner's inputs and
@@ -77,31 +82,42 @@ type planExplain struct {
 	Decision *plan.Decision `json:"decision,omitempty"`
 }
 
-// planDecide resolves an Auto request through the planner: procs > 0 pins
-// the parallelism degree, 0 lets the planner choose it. explain asks for the
-// scored candidate slate.
-func (ps *planState) planDecide(g *bicc.Graph, procs int, explain bool) (bicc.Algorithm, int, plan.Features, plan.Decision) {
-	f := bicc.FeaturesFor(ps.planner, g)
-	d := ps.planner.Decide(f, procs, explain)
-	a, err := bicc.ParseAlgorithm(d.Engine)
-	if err != nil || a == bicc.Auto {
-		// Unreachable with the current engine set; degrade to the static
-		// rule rather than dispatch something unparseable.
-		return bicc.ResolveAlgorithm(g, bicc.Auto, procs), par.Procs(procs), f, d
+// resolve is the one place the service maps Auto to a concrete (engine,
+// procs) pair: through the planner when the mode enables it (procs > 0 pins
+// the parallelism degree, 0 lets the planner choose it), through the static
+// §4 rule at par.Procs(procs) workers otherwise. Explicit algorithms pass
+// through unchanged. With explain it also returns the ?explain=1 echo.
+func (ps planState) resolve(g *bicc.Graph, algo bicc.Algorithm, procs int, explain bool) (bicc.Algorithm, int, *planExplain) {
+	echo := planExplain{Mode: PlanOff}
+	switch {
+	case algo != bicc.Auto:
+	case ps.planner == nil:
+		algo, procs = bicc.ResolveAlgorithm(g, algo, procs), par.Procs(procs)
+	default:
+		f := bicc.FeaturesFor(ps.planner, g)
+		d := ps.planner.Decide(f, procs, explain)
+		a, err := bicc.ParseAlgorithm(d.Engine)
+		p := d.Procs
+		if err != nil || a == bicc.Auto {
+			// Unreachable with the current engine set; degrade to the static
+			// rule rather than dispatch something unparseable.
+			a, p = bicc.ResolveAlgorithm(g, algo, procs), par.Procs(procs)
+		}
+		algo, procs = a, p
+		echo = planExplain{Mode: ps.mode, Features: &f, Decision: &d}
 	}
-	return a, d.Procs, f, d
+	if !explain {
+		return algo, procs, nil
+	}
+	echo.Engine, echo.Procs = algo.String(), par.Procs(procs)
+	return algo, procs, &echo
 }
 
-// planResolve is planDecide for internal callers that need no explanation:
-// the incremental degrade-to-full path and shard builds, which pass Auto
-// down to runEngine.
-func (ps *planState) planResolve(g *bicc.Graph, procs int) (bicc.Algorithm, int) {
-	a, p, _, _ := ps.planDecide(g, procs, false)
-	return a, p
-}
-
-// planObserve feeds one clean engine run into the online model. Callers must
-// filter out degraded and breaker-routed runs first.
-func (ps *planState) planObserve(g *bicc.Graph, engine string, procs int, elapsed time.Duration) {
+// observe feeds one clean engine run into the online model, when there is
+// one. Callers must filter out degraded and breaker-routed runs first.
+func (ps planState) observe(g *bicc.Graph, engine string, procs int, elapsed time.Duration) {
+	if ps.planner == nil {
+		return
+	}
 	ps.planner.Observe(bicc.FeaturesFor(ps.planner, g), engine, par.Procs(procs), elapsed)
 }

@@ -134,6 +134,31 @@ func TestPlanExplainMatchesDispatch(t *testing.T) {
 	}
 }
 
+// TestPlanOffAutoSharesCache checks that with the planner off an auto query
+// resolves before the cache key: an explicit query for the engine it
+// dispatched, at the same procs, is a cache hit.
+func TestPlanOffAutoSharesCache(t *testing.T) {
+	_, ts := newTestServer(t, Config{PlanMode: PlanOff})
+	up := uploadGraph(t, ts, denseGraph(), "")
+	for _, procs := range []int{1, 2} {
+		var auto, explicit bccResponse
+		_, data := postBCC(t, ts, bccRequest{Graph: up.Fingerprint, Algorithm: "auto", Procs: procs})
+		if err := json.Unmarshal(data, &auto); err != nil {
+			t.Fatal(err)
+		}
+		if auto.Cached {
+			t.Fatalf("procs=%d: first auto query served from cache: %s", procs, data)
+		}
+		_, data = postBCC(t, ts, bccRequest{Graph: up.Fingerprint, Algorithm: auto.Algorithm, Procs: procs})
+		if err := json.Unmarshal(data, &explicit); err != nil {
+			t.Fatal(err)
+		}
+		if !explicit.Cached || explicit.Algorithm != auto.Algorithm {
+			t.Fatalf("procs=%d: explicit %q after auto not a cache hit: %s", procs, auto.Algorithm, data)
+		}
+	}
+}
+
 // TestPlanAvoidsOpenBreaker is the service-level safety-net property: once
 // fast-bcc's circuit breaker opens, the planner must stop choosing fast-bcc
 // — immediately and without consuming the breaker's half-open probe budget.

@@ -154,9 +154,9 @@ type Server struct {
 	// the process-wide registry.
 	metrics *obs.Registry
 	stats   Stats
-	// breakers guard the parallel algorithms (and auto, which resolves to
-	// one of them); the sequential engine has none — it is the path of last
-	// resort.
+	// breakers guard the parallel algorithms; the sequential engine has
+	// none — it is the path of last resort. Auto never reaches them: it is
+	// resolved to a concrete engine first.
 	breakers map[string]*Breaker
 	draining atomic.Bool
 	// dur is the durable state when EnableDurability has been called, nil
@@ -175,9 +175,9 @@ type Server struct {
 	// decompositions fed by POST /v1/graphs/{fp}/edges. Always on — an
 	// unmutated server pays one nil-map lookup per query.
 	incr *incrState
-	// plans is the adaptive query planner when Config.PlanMode enables it,
-	// nil otherwise; the off path costs one atomic load per Auto query.
-	plans atomic.Pointer[planState]
+	// plans resolves Auto queries: the adaptive planner when
+	// Config.PlanMode enables it, the static §4 rule otherwise.
+	plans planState
 }
 
 // New returns a Server with the given configuration.
@@ -193,14 +193,16 @@ func New(cfg Config) *Server {
 	}
 	s.stats = newStats(s.metrics)
 	s.incr = newIncrState(s.metrics, cfg.IncrThreshold)
-	for _, a := range []bicc.Algorithm{bicc.Auto, bicc.TVSMP, bicc.TVOpt, bicc.TVFilter, bicc.FastBCC} {
+	for _, a := range []bicc.Algorithm{bicc.TVSMP, bicc.TVOpt, bicc.TVFilter, bicc.FastBCC} {
 		s.breakers[a.String()] = NewBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown)
 	}
-	if mode, err := ParsePlanMode(cfg.PlanMode); err == nil && mode != PlanOff {
-		// Planner construction comes after breakers and stats: its candidate
-		// filter and history seed close over both.
-		s.plans.Store(s.newPlanState(mode))
+	mode, err := ParsePlanMode(cfg.PlanMode)
+	if err != nil {
+		mode = PlanOff
 	}
+	// Planner construction comes after breakers and stats: its candidate
+	// filter and history seed close over both.
+	s.plans = s.newPlanState(mode)
 	s.registerLiveMetrics()
 	return s
 }
@@ -636,24 +638,11 @@ func (s *Server) handleBCC(w http.ResponseWriter, r *http.Request) {
 	defer s.registry.Release(req.Graph)
 
 	// Auto queries resolve to a concrete (engine, procs) pair before the
-	// cache lookup: the planner (when enabled) decides here, exactly once
-	// per request, so the cache key, the dispatched engine, and the explain
-	// echo can never disagree — and planned queries share cache entries
-	// with explicit requests for the same engine.
+	// cache lookup, exactly once per request, so the cache key, the
+	// dispatched engine, and the explain echo can never disagree — and auto
+	// queries share cache entries with explicit requests for the same engine.
 	eq := r.URL.Query().Get("explain")
-	explain := eq == "1" || eq == "true"
-	runAlgo, runProcs := algo, procs
-	var planEcho *planExplain
-	if ps := s.plans.Load(); ps != nil && algo == bicc.Auto {
-		a, p, f, d := ps.planDecide(g, procs, explain)
-		runAlgo, runProcs = a, p
-		if explain {
-			planEcho = &planExplain{Mode: ps.mode, Engine: a.String(), Procs: p, Features: &f, Decision: &d}
-		}
-	} else if explain {
-		resolved := bicc.ResolveAlgorithm(g, algo, procs)
-		planEcho = &planExplain{Mode: PlanOff, Engine: resolved.String(), Procs: par.Procs(procs)}
-	}
+	runAlgo, runProcs, planEcho := s.plans.resolve(g, algo, procs, eq == "1" || eq == "true")
 
 	timeout := s.cfg.DefaultTimeout
 	if req.TimeoutMs > 0 {
@@ -735,6 +724,35 @@ func (s *Server) fillIncludes(qr *queryResult, g *bicc.Graph, include map[string
 	if err != nil {
 		return err
 	}
+	addViews(qr, res, include)
+	return nil
+}
+
+// newQueryResult derives the cacheable answer from a decomposition: the
+// algorithm and counts, plus each view include asks for. The articulation
+// and bridge passes the counts need double as those two views.
+func newQueryResult(res *bicc.Result, include map[string]bool) *queryResult {
+	cuts, bridges := res.ArticulationPoints(), res.Bridges()
+	qr := &queryResult{
+		Algorithm:       res.Algorithm.String(),
+		NumComponents:   res.NumComponents,
+		NumArticulation: len(cuts),
+		NumBridges:      len(bridges),
+		edgeComp:        res.EdgeComponent,
+	}
+	if include["articulation"] {
+		qr.ArticulationPoints = cuts
+	}
+	if include["bridges"] {
+		qr.Bridges = bridges
+	}
+	addViews(qr, res, include)
+	return qr
+}
+
+// addViews sets each view include asks for that qr does not carry yet,
+// derived from res, the decomposition qr describes.
+func addViews(qr *queryResult, res *bicc.Result, include map[string]bool) {
 	if include["articulation"] && qr.ArticulationPoints == nil {
 		qr.ArticulationPoints = res.ArticulationPoints()
 	}
@@ -754,7 +772,6 @@ func (s *Server) fillIncludes(qr *queryResult, g *bicc.Graph, include map[string
 			LeafBlocks:  t.LeafBlocks(),
 		}
 	}
-	return nil
 }
 
 // runEngine admits and runs one engine computation under the circuit
@@ -764,14 +781,12 @@ func (s *Server) fillIncludes(qr *queryResult, g *bicc.Graph, include map[string
 // accounting behaviour. routedCause is non-empty when an open breaker
 // redirected the request to the sequential engine.
 func (s *Server) runEngine(ctx context.Context, g *bicc.Graph, algo bicc.Algorithm, procs int) (res *bicc.Result, elapsed time.Duration, routedCause string, err error) {
-	// Auto still arriving here came from an internal caller — the
-	// incremental degrade-to-full path, shard builds — not /v1/bcc, which
-	// resolves before its cache lookup. Plan it the same way.
-	if algo == bicc.Auto {
-		if ps := s.plans.Load(); ps != nil {
-			algo, procs = ps.planResolve(g, procs)
-		}
-	}
+	// Auto still arriving here came from a shard query (whose keys keep
+	// auto, so one shard set serves every request for the graph), the
+	// incremental degrade-to-full path, or a persisted result key that
+	// names auto — not /v1/bcc, which resolves before its cache lookup.
+	// Resolve it the same way.
+	algo, procs, _ = s.plans.resolve(g, algo, procs, false)
 	_, adm := obs.StartSpan(ctx, "admission")
 	release, err := s.admission.Acquire(ctx)
 	adm.End()
@@ -829,8 +844,8 @@ func (s *Server) runEngine(ctx context.Context, g *bicc.Graph, algo bicc.Algorit
 	// Clean, representative runs feed the planner's online model. Degraded
 	// and breaker-routed runs are excluded: their latency reflects the
 	// failure path, not the engine the planner would be scoring.
-	if ps := s.plans.Load(); ps != nil && routedCause == "" && !res.Degraded {
-		ps.planObserve(g, res.Algorithm.String(), procs, elapsed)
+	if routedCause == "" && !res.Degraded {
+		s.plans.observe(g, res.Algorithm.String(), procs, elapsed)
 	}
 	return res, elapsed, routedCause, nil
 }
@@ -852,37 +867,10 @@ func (s *Server) compute(ctx context.Context, g *bicc.Graph, algo bicc.Algorithm
 	if err != nil {
 		return nil, err
 	}
-	cuts := res.ArticulationPoints()
-	bridges := res.Bridges()
-	out := &queryResult{
-		Algorithm:       res.Algorithm.String(),
-		NumComponents:   res.NumComponents,
-		NumArticulation: len(cuts),
-		NumBridges:      len(bridges),
-		ElapsedNs:       int64(elapsed),
-		edgeComp:        res.EdgeComponent,
-	}
+	out := newQueryResult(res, include)
+	out.ElapsedNs = int64(elapsed)
 	for _, ph := range res.Phases {
 		out.Phases = append(out.Phases, map[string]any{"name": ph.Name, "ns": int64(ph.Duration)})
-	}
-	if include["articulation"] {
-		out.ArticulationPoints = cuts
-	}
-	if include["bridges"] {
-		out.Bridges = bridges
-	}
-	if include["components"] {
-		out.Components = res.Components()
-	}
-	if include["blockcut"] {
-		t := res.BlockCutTree()
-		out.BlockCut = &blockCutJSON{
-			NumBlocks:   t.NumBlocks(),
-			NumNodes:    t.NumNodes(),
-			NumEdges:    t.NumTreeEdges(),
-			CutVertices: t.CutVertices(),
-			LeafBlocks:  t.LeafBlocks(),
-		}
 	}
 	if res.Degraded {
 		out.Degraded = true
@@ -1022,8 +1010,8 @@ func (s *Server) Snapshot() StatsSnapshot {
 	if sc := s.scrubs.Load(); sc != nil {
 		snap.Scrub = sc.snapshot()
 	}
-	if ps := s.plans.Load(); ps != nil {
-		psnap := ps.planner.Snapshot()
+	if pl := s.plans.planner; pl != nil {
+		psnap := pl.Snapshot()
 		snap.Plan = &psnap
 	}
 	return snap

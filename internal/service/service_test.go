@@ -423,12 +423,18 @@ func TestHealthzAndStatsz(t *testing.T) {
 	if len(snap.Latency) == 0 {
 		t.Fatal("statsz has no latency histograms after a computation")
 	}
-	// Every engine gets its own circuit breaker, present from the first
-	// snapshot on; the fast-bcc query above also leaves a latency row.
-	for _, name := range []string{"tv-smp", "tv-opt", "tv-filter", "fast-bcc"} {
+	// Every parallel engine gets its own circuit breaker, present from the
+	// first snapshot on, and nothing else does: auto resolves to an engine
+	// before dispatch, and sequential is the path of last resort. The
+	// fast-bcc query above also leaves a latency row.
+	parallel := []string{"tv-smp", "tv-opt", "tv-filter", "fast-bcc"}
+	for _, name := range parallel {
 		if _, ok := snap.Breakers[name]; !ok {
 			t.Errorf("statsz missing breaker entry for %q", name)
 		}
+	}
+	if len(snap.Breakers) != len(parallel) {
+		t.Errorf("statsz breakers = %v, want exactly %v", snap.Breakers, parallel)
 	}
 	if _, ok := snap.Latency["fast-bcc"]; !ok {
 		t.Error("statsz missing latency histogram for fast-bcc after a fast-bcc query")
