@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race cover bench bench-json ci fig3 fig4 ablations verify test-faults test-fastbcc test-obs lint-obs fuzz-durable fuzz-shard test-shard test-incr fuzz-incr race-service test-crash test-repl test-failover test-scrub fuzz-repl test-plan fuzz-plan vet-bench fmt vet clean
+.PHONY: all build test race cover bench bench-json ci fig3 fig4 ablations verify test-faults test-fastbcc test-obs lint-obs fuzz-durable fuzz-shard test-shard test-incr fuzz-incr race-service test-crash test-repl test-failover test-scrub fuzz-repl test-plan fuzz-plan vet-bench bench-smoke fmt vet clean
 
 all: build test
 
@@ -184,6 +184,20 @@ fuzz-repl:
 vet-bench:
 	cd bccdbench && GOPROXY=off GOWORK=off $(GO) vet .
 
+# A short pass of each benchmark workload through bccdbench/run.sh. It
+# fails unless the result line reports "correct": true with 0 failed, so a
+# change in response bytes cannot silently break the benchmark's
+# correctness gate.
+bench-smoke:
+	@for w in hot ingest; do \
+		line=$$(bash bccdbench/run.sh --workload $$w --seed 1 --seconds 5 --trace 0 | tail -n 1); \
+		echo "bench-smoke $$w: $$line" | cut -c 1-200; \
+		case "$$line" in \
+		'{"correct":true,'*'"failed":0,'*) ;; \
+		*) echo "bench-smoke: $$w is not correct with 0 failed" >&2; exit 1 ;; \
+		esac; \
+	done
+
 # Static analysis for the obs package beyond go vet. staticcheck is optional:
 # the target degrades to a notice when the tool isn't installed.
 lint-obs:
@@ -203,8 +217,9 @@ lint-obs:
 # (standby differential harness + multi-process node-kill failover), the
 # self-healing suite (scrubber + bit-rot chaos harness + repl frame
 # fuzzing), the adaptive-planner suite (golden decision table + differential
-# harness + feature fuzzing), and a benchmark snapshot.
-ci: vet vet-bench lint-obs race test-fastbcc test-faults test-obs fuzz-durable test-shard fuzz-shard test-incr fuzz-incr race-service test-crash test-repl test-failover test-scrub fuzz-repl test-plan fuzz-plan bench-json
+# harness + feature fuzzing), a short correctness-gated pass of the bccd
+# benchmark, and a benchmark snapshot.
+ci: vet vet-bench bench-smoke lint-obs race test-fastbcc test-faults test-obs fuzz-durable test-shard fuzz-shard test-incr fuzz-incr race-service test-crash test-repl test-failover test-scrub fuzz-repl test-plan fuzz-plan bench-json
 
 fmt:
 	gofmt -l -w .

@@ -118,20 +118,90 @@ func (c *ResultCache) SetDurable(spill *durable.Spill, memBudget int64) {
 }
 
 // resultBytes estimates the resident size of a cached result: the label
-// slice dominates, the derived views are charged per element, and the
-// fixed overhead covers the struct, entry, and map bookkeeping.
+// slice dominates, the fixed overhead covers the struct, entry, and map
+// bookkeeping, and every response fragment built so far counts at its
+// length. Fragments built later are charged as they appear (see fragment).
+// Caller holds c.mu.
 func resultBytes(res *queryResult) int64 {
 	n := int64(512)
 	n += int64(len(res.edgeComp)) * 4
-	n += int64(len(res.ArticulationPoints)+len(res.Bridges)) * 4
-	for _, comp := range res.Components {
-		n += int64(len(comp))*4 + 24
-	}
 	n += int64(len(res.Phases)) * 96
 	if res.Trace != nil {
 		n += int64(len(res.Trace.Spans)) * 128
 	}
+	if res.memo != nil {
+		n += res.memo.built
+	}
 	return n
+}
+
+// frag names one piece of a /v1/bcc response body, in body order: the
+// head (counts and metadata), the four include views, the tail of flags,
+// and the ?trace=1 trace. Each is a run of complete JSON fields that the
+// handler splices between the per-request fields.
+type frag uint8
+
+const (
+	fragHead frag = iota // `{"algorithm":…` — the object left open
+	fragArticulation
+	fragBridges
+	fragComponents
+	fragBlockCut
+	fragTail  // `,"degraded":…,"incr":…`, or nothing
+	fragTrace // `,"trace":{…}`, or nothing
+	numFrags
+)
+
+// fragSet is a set of fragments: the ones a response carries.
+type fragSet uint8
+
+func (fs fragSet) with(f frag) fragSet { return fs | 1<<f }
+func (fs fragSet) has(f frag) bool     { return fs&(1<<f) != 0 }
+
+// resultMemo holds one result's response fragments, each built at most
+// once — if C is not requested, it is not built; once built, it is kept. A
+// cache hit then writes bytes the entry already has instead of deriving
+// and encoding views per request.
+type resultMemo struct {
+	once [numFrags]sync.Once
+	frag [numFrags][]byte
+	err  [numFrags]error
+
+	// built is the length of the fragments built so far, and entry the
+	// cache entry charged for them while the result is resident (nil
+	// otherwise). Both are guarded by ResultCache.mu once the result is
+	// published; seed runs before that.
+	built int64
+	entry *cacheEntry
+}
+
+// seed builds fragment f of a result that has not been published yet.
+func (m *resultMemo) seed(f frag, build func() ([]byte, error)) {
+	m.once[f].Do(func() {
+		m.frag[f], m.err[f] = build()
+		m.built += int64(len(m.frag[f]))
+	})
+}
+
+// fragment returns fragment f of res, building it with build on first use.
+// Concurrent first requests wait for the one build. Its bytes are charged
+// to the entry holding res, if it is resident, and the budgets enforced.
+func (c *ResultCache) fragment(res *queryResult, f frag, build func() ([]byte, error)) ([]byte, error) {
+	m := res.memo
+	m.once[f].Do(func() {
+		m.frag[f], m.err[f] = build()
+		if n := int64(len(m.frag[f])); n > 0 {
+			c.mu.Lock()
+			m.built += n
+			if e := m.entry; e != nil {
+				e.bytes += n
+				c.bytes += n
+				c.enforceBudgetLocked(e)
+			}
+			c.mu.Unlock()
+		}
+	})
+	return m.frag[f], m.err[f]
 }
 
 // Outcome classifies how a Do call was served, for stats.
@@ -203,10 +273,7 @@ func (c *ResultCache) Do(ctx context.Context, key resultKey,
 				delete(c.entries, key)
 			}
 		} else {
-			e.elem = c.lru.PushFront(key)
-			e.bytes = resultBytes(res)
-			c.bytes += e.bytes
-			c.enforceBudgetLocked(e)
+			c.insertLocked(key, e)
 		}
 		c.mu.Unlock()
 	}()
@@ -246,28 +313,50 @@ func (c *ResultCache) wait(ctx context.Context, key resultKey, e *cacheEntry, oc
 // promoteLocked serves a miss from the disk tier: read, decode, and (when
 // retention is on) re-insert the record as a completed memory entry. A
 // record that fails to decode is deleted — recompute beats serving it.
-// Caller holds c.mu.
+// Records spilled by older builds also carry encoded views; decoding skips
+// them, and the views are rebuilt from the labels on request. Caller holds
+// c.mu.
 func (c *ResultCache) promoteLocked(key resultKey) (*queryResult, bool) {
 	rec, ok := c.spill.Get(key.durableKey())
 	if !ok {
 		return nil, false
 	}
-	res := new(queryResult)
+	res := &queryResult{edgeComp: rec.EdgeComponent, memo: new(resultMemo)}
 	if err := json.Unmarshal(rec.View, res); err != nil {
 		c.spill.Remove(key.durableKey())
 		return nil, false
 	}
-	res.edgeComp = rec.EdgeComponent
 	if c.maxEntries > 0 {
 		ready := make(chan struct{})
 		close(ready)
-		e := &cacheEntry{ready: ready, res: res, done: true, bytes: resultBytes(res)}
-		e.elem = c.lru.PushFront(key)
-		c.entries[key] = e
-		c.bytes += e.bytes
-		c.enforceBudgetLocked(e)
+		c.insertLocked(key, &cacheEntry{ready: ready, res: res, done: true})
 	}
 	return res, true
+}
+
+// insertLocked makes a completed entry resident: charged at its current
+// size, its memo's later growth charged to it, and the budgets enforced.
+// Caller holds c.mu.
+func (c *ResultCache) insertLocked(key resultKey, e *cacheEntry) {
+	e.elem = c.lru.PushFront(key)
+	c.entries[key] = e
+	e.bytes = resultBytes(e.res)
+	c.bytes += e.bytes
+	if e.res.memo != nil {
+		e.res.memo.entry = e
+	}
+	c.enforceBudgetLocked(e)
+}
+
+// removeLocked takes a completed entry out of the memory tier and stops
+// charging fragments its result builds from then on. Caller holds c.mu.
+func (c *ResultCache) removeLocked(key resultKey, e *cacheEntry) {
+	c.lru.Remove(e.elem)
+	delete(c.entries, key)
+	c.bytes -= e.bytes
+	if e.res.memo != nil {
+		e.res.memo.entry = nil
+	}
 }
 
 // Respill rewrites key's spill record from a completed entry still resident
@@ -306,13 +395,11 @@ func (c *ResultCache) DropGraph(fp string) int {
 		if key.fp != fp {
 			continue
 		}
-		if e.done {
-			if e.elem != nil {
-				c.lru.Remove(e.elem)
-			}
-			c.bytes -= e.bytes
+		if e.elem != nil {
+			c.removeLocked(key, e)
+		} else {
+			delete(c.entries, key)
 		}
-		delete(c.entries, key)
 		dropped++
 	}
 	sp := c.spill
@@ -361,7 +448,5 @@ func (c *ResultCache) demoteLocked(key resultKey, e *cacheEntry) {
 			})
 		}
 	}
-	c.lru.Remove(e.elem)
-	delete(c.entries, key)
-	c.bytes -= e.bytes
+	c.removeLocked(key, e)
 }

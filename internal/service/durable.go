@@ -193,8 +193,8 @@ func (s *Server) EnableDurability(cfg DurabilityConfig) (*RecoveryReport, error)
 }
 
 // register exposes the durable state on the server's metrics registry.
-// These series exist only when durability is enabled, so a diskless bccd's
-// /metrics output is unchanged.
+// These series exist only when durability is enabled; the result cache's
+// resident size is exported in every mode (registerLiveMetrics).
 func (d *durability) register(s *Server) {
 	reg := s.metrics
 	st, sp := d.store, d.spill
@@ -236,9 +236,6 @@ func (d *durability) register(s *Server) {
 		"Spilled results evicted for disk budget.").Func(sp.Evictions)
 	reg.CounterVec("bicc_spill_corrupt_total",
 		"Spilled results dropped on CRC or decode failure.").Func(sp.Corrupt)
-	reg.GaugeFunc("bicc_result_cache_mem_bytes",
-		"Estimated resident bytes of the in-memory result cache.",
-		func() float64 { return float64(s.cache.Bytes()) })
 }
 
 // CloseDurability flushes and closes the WAL and detaches the spill tier.

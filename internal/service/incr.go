@@ -194,13 +194,13 @@ func (s *Server) incrReconstruct(fp string, g *bicc.Graph, algo bicc.Algorithm, 
 
 // incrServe is the /v1/bcc fast path: derive the cacheable query result
 // from maintained labels instead of running an engine.
-func (s *Server) incrServe(fp string, g *bicc.Graph, algo bicc.Algorithm, procs int, include map[string]bool) (*queryResult, bool) {
+func (s *Server) incrServe(fp string, g *bicc.Graph, algo bicc.Algorithm, procs int) (*queryResult, bool) {
 	start := time.Now()
 	res, ok := s.incrReconstruct(fp, g, algo, procs)
 	if !ok {
 		return nil, false
 	}
-	out := newQueryResult(res, include)
+	out := newQueryResult(res)
 	out.Incr = true
 	out.ElapsedNs = int64(time.Since(start))
 	out.Phases = []map[string]any{{"name": "incr-serve", "ns": out.ElapsedNs}}

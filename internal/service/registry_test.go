@@ -120,7 +120,7 @@ func TestResultCacheSingleFlightAndLRU(t *testing.T) {
 	slow := func(ctx context.Context) (*queryResult, error) {
 		runs.Add(1)
 		time.Sleep(20 * time.Millisecond)
-		return &queryResult{NumComponents: 1}, nil
+		return &queryResult{resultHead: resultHead{NumComponents: 1}}, nil
 	}
 	key := resultKey{fp: "a", algo: bicc.TVOpt, procs: 2}
 	var wg sync.WaitGroup

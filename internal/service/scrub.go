@@ -335,7 +335,7 @@ func (t *spillTier) Repair(key string, cause error) (string, error) {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), scrubRepairTimeout)
 	defer cancel()
-	qr, err := t.s.compute(ctx, g, k.algo, k.procs, nil)
+	qr, err := t.s.compute(ctx, g, k.algo, k.procs)
 	if err != nil {
 		return "", err
 	}

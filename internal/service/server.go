@@ -224,6 +224,9 @@ func (s *Server) registerLiveMetrics() {
 	reg.GaugeFunc("bicc_cached_results",
 		"Completed query results retained by the cache.",
 		func() float64 { return float64(s.cache.Len()) })
+	reg.GaugeFunc("bicc_result_cache_mem_bytes",
+		"Estimated resident bytes of the in-memory result cache, encoded response fragments included.",
+		func() float64 { return float64(s.cache.Bytes()) })
 	reg.GaugeFunc("bicc_graphs",
 		"Graphs resident in the registry.",
 		func() float64 { return float64(s.registry.Len()) })
@@ -301,9 +304,7 @@ type apiError struct {
 func writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
+	_ = json.NewEncoder(w).Encode(v)
 }
 
 func writeError(w http.ResponseWriter, code int, format string, args ...any) {
@@ -545,20 +546,45 @@ type bccRequest struct {
 	Include   []string `json:"include,omitempty"` // components, articulation, bridges, blockcut
 }
 
-// queryResult is the cacheable part of a BCC response: everything derived
-// from the decomposition, computed once and shared by all coalesced and
-// cached callers.
+// queryResult is the cacheable part of a BCC response: the counts and the
+// metadata of the decomposition, computed once and shared by all coalesced
+// and cached callers. The include views are not fields of it: memo holds
+// them already encoded, each built the first time a request asks for it.
+// Its JSON form (counts, metadata, trace) is what the spill tier persists
+// beside the labels.
 type queryResult struct {
-	Algorithm          string           `json:"algorithm"`
-	NumComponents      int              `json:"num_components"`
-	NumArticulation    int              `json:"num_articulation_points"`
-	NumBridges         int              `json:"num_bridges"`
-	ElapsedNs          int64            `json:"elapsed_ns"`
-	Phases             []map[string]any `json:"phases,omitempty"`
-	ArticulationPoints []int32          `json:"articulation_points,omitempty"`
-	Bridges            []int32          `json:"bridges,omitempty"`
-	Components         [][]int32        `json:"components,omitempty"`
-	BlockCut           *blockCutJSON    `json:"blockcut,omitempty"`
+	resultHead
+	resultTail
+	// edgeComp is the raw per-edge component labeling every view is derived
+	// from. Unexported so it never serializes in responses; the durability
+	// layer persists it alongside the JSON form so recovered results can be
+	// re-checked with bicc.Verify.
+	edgeComp []int32
+	// memo holds the response fragments of this result (see resultMemo).
+	// Behind a pointer so a queryResult stays copyable.
+	memo *resultMemo
+}
+
+// resultHead, resultViews and resultTail are the three runs of a /v1/bcc
+// response's fields, in response order. The cached entry carries the first
+// and the last; the middle one exists for the response type alone.
+type resultHead struct {
+	Algorithm       string           `json:"algorithm"`
+	NumComponents   int              `json:"num_components"`
+	NumArticulation int              `json:"num_articulation_points"`
+	NumBridges      int              `json:"num_bridges"`
+	ElapsedNs       int64            `json:"elapsed_ns"`
+	Phases          []map[string]any `json:"phases,omitempty"`
+}
+
+type resultViews struct {
+	ArticulationPoints []int32       `json:"articulation_points,omitempty"`
+	Bridges            []int32       `json:"bridges,omitempty"`
+	Components         [][]int32     `json:"components,omitempty"`
+	BlockCut           *blockCutJSON `json:"blockcut,omitempty"`
+}
+
+type resultTail struct {
 	// Degraded marks a result produced by the sequential fallback (engine
 	// fault or open circuit breaker) instead of the requested parallel
 	// engine. Degraded results are correct but are never cached.
@@ -572,11 +598,6 @@ type queryResult struct {
 	// result (admission wait, engine attempts, pipeline phases). It rides
 	// the cache entry but is only serialized for requests asking ?trace=1.
 	Trace *obs.TraceExport `json:"trace,omitempty"`
-	// edgeComp is the raw per-edge component labeling the views above were
-	// derived from. Unexported so it never serializes in responses; the
-	// durability layer persists it alongside the JSON view so recovered
-	// results can be re-checked with bicc.Verify.
-	edgeComp []int32
 }
 
 type blockCutJSON struct {
@@ -587,14 +608,31 @@ type blockCutJSON struct {
 	LeafBlocks  []int32 `json:"leaf_blocks"`
 }
 
-// bccResponse embeds queryResult by value: encoding/json cannot populate an
-// embedded pointer to an unexported type when tests decode responses.
+// bccResponse is the shape of a /v1/bcc answer. The handler does not build
+// one: it splices the cached fragments (see writeBCC), which produce the
+// bytes json.Marshal would for the equivalent bccResponse. Clients and
+// tests decode into it.
 type bccResponse struct {
-	queryResult
+	resultHead
+	resultViews
+	resultTail
+	requestEcho
+}
+
+// requestEcho is the run of per-request fields that closes a response.
+type requestEcho struct {
 	Graph  string `json:"graph"`
 	Cached bool   `json:"cached"`
 	// Plan echoes the planner's decision for ?explain=1 requests.
 	Plan *planExplain `json:"plan,omitempty"`
+}
+
+// includeFrags maps each include name of a request onto its view fragment.
+var includeFrags = map[string]frag{
+	"articulation": fragArticulation,
+	"bridges":      fragBridges,
+	"components":   fragComponents,
+	"blockcut":     fragBlockCut,
 }
 
 func (s *Server) handleBCC(w http.ResponseWriter, r *http.Request) {
@@ -613,15 +651,17 @@ func (s *Server) handleBCC(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	include := map[string]bool{}
+	include := fragSet(0).with(fragHead).with(fragTail) // in every response
 	for _, inc := range req.Include {
-		switch inc {
-		case "components", "articulation", "bridges", "blockcut":
-			include[inc] = true
-		default:
+		f, ok := includeFrags[inc]
+		if !ok {
 			writeError(w, http.StatusBadRequest, "unknown include %q", inc)
 			return
 		}
+		include = include.with(f)
+	}
+	if q := r.URL.Query().Get("trace"); q == "1" || q == "true" {
+		include = include.with(fragTrace)
 	}
 	procs := req.Procs
 	if procs < 0 {
@@ -656,10 +696,10 @@ func (s *Server) handleBCC(w http.ResponseWriter, r *http.Request) {
 		// Mutated graphs carry maintained labels: derive the answer from
 		// them instead of running an engine when they describe exactly the
 		// acquired graph pointer.
-		if qr, ok := s.incrServe(req.Graph, g, runAlgo, runProcs, include); ok {
+		if qr, ok := s.incrServe(req.Graph, g, runAlgo, runProcs); ok {
 			return qr, nil
 		}
-		return s.compute(cctx, g, runAlgo, runProcs, include)
+		return s.compute(cctx, g, runAlgo, runProcs)
 	})
 	switch outcome {
 	case OutcomeHit:
@@ -686,92 +726,153 @@ func (s *Server) handleBCC(w http.ResponseWriter, r *http.Request) {
 		}
 		return
 	}
-	resp := bccResponse{queryResult: *res, Graph: req.Graph, Cached: outcome == OutcomeHit, Plan: planEcho}
-	if err := s.fillIncludes(&resp.queryResult, g, include); err != nil {
-		writeError(w, http.StatusInternalServerError, "deriving include views: %v", err)
+	echo, err := json.Marshal(requestEcho{Graph: req.Graph, Cached: outcome == OutcomeHit, Plan: planEcho})
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, "encoding response: %v", err)
 		return
 	}
-	if q := r.URL.Query().Get("trace"); q != "1" && q != "true" {
-		// The copy above leaves the cached entry's trace intact.
-		resp.Trace = nil
+	if err := s.writeBCC(w, res, g, include, echo); err != nil {
+		writeError(w, http.StatusInternalServerError, "deriving include views: %v", err)
 	}
-	writeJSON(w, http.StatusOK, resp)
 }
 
-// fillIncludes completes a response copy with any include view the cached
-// entry does not carry. The result cache is keyed by (graph, generation,
-// algorithm, procs) — not by the include set — so a hit may have been
-// created by a query that asked for fewer views, or by a scrub repair,
-// which asks for none. Deriving the missing views from the persisted
-// labeling keeps answers independent of which query populated the cache.
-// Only the copy is written; the shared entry stays untouched.
-func (s *Server) fillIncludes(qr *queryResult, g *bicc.Graph, include map[string]bool) error {
-	missing := (include["articulation"] && qr.ArticulationPoints == nil) ||
-		(include["bridges"] && qr.Bridges == nil) ||
-		(include["components"] && qr.Components == nil) ||
-		(include["blockcut"] && qr.BlockCut == nil)
-	if !missing {
-		return nil
+// writeBCC answers with res: the fragments include names (the head and the
+// tail, and the views and trace the request asks for), in field order,
+// then echo, the encoded requestEcho, which closes the object. The body is what json.Marshal writes for the
+// equivalent bccResponse, and a newline, as on every endpoint. A fragment
+// nobody has asked for yet is built here, once per cached entry, from the
+// labels and g, the acquired graph they describe. Nothing is written when
+// a fragment fails to build, so the caller can still answer with an error.
+func (s *Server) writeBCC(w http.ResponseWriter, res *queryResult, g *bicc.Graph, include fragSet, echo []byte) error {
+	var parts [numFrags + 1][]byte
+	n, size := 0, 0
+	for f := fragHead; f < numFrags; f++ {
+		if !include.has(f) {
+			continue
+		}
+		b, err := s.cache.fragment(res, f, func() ([]byte, error) { return buildFragment(res, g, f) })
+		if err != nil {
+			return err
+		}
+		parts[n] = b
+		n++
+		size += len(b)
 	}
-	if qr.edgeComp == nil {
-		return fmt.Errorf("result carries no edge labeling")
+	echo[0] = ',' // echo's closing brace closes the response object
+	parts[n] = append(echo, '\n')
+	size += len(parts[n])
+	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(size))
+	w.WriteHeader(http.StatusOK)
+	for _, b := range parts[:n+1] {
+		if _, err := w.Write(b); err != nil {
+			break // the client went away
+		}
 	}
-	algo, err := bicc.ParseAlgorithm(qr.Algorithm)
-	if err != nil {
-		return err
-	}
-	res, err := bicc.ReconstructResult(g, algo, qr.edgeComp)
-	if err != nil {
-		return err
-	}
-	addViews(qr, res, include)
 	return nil
 }
 
 // newQueryResult derives the cacheable answer from a decomposition: the
-// algorithm and counts, plus each view include asks for. The articulation
-// and bridge passes the counts need double as those two views.
-func newQueryResult(res *bicc.Result, include map[string]bool) *queryResult {
+// algorithm and counts. The articulation and bridge passes the counts need
+// seed those two view fragments, so a later request for them derives
+// nothing.
+func newQueryResult(res *bicc.Result) *queryResult {
 	cuts, bridges := res.ArticulationPoints(), res.Bridges()
 	qr := &queryResult{
-		Algorithm:       res.Algorithm.String(),
-		NumComponents:   res.NumComponents,
-		NumArticulation: len(cuts),
-		NumBridges:      len(bridges),
-		edgeComp:        res.EdgeComponent,
+		resultHead: resultHead{
+			Algorithm:       res.Algorithm.String(),
+			NumComponents:   res.NumComponents,
+			NumArticulation: len(cuts),
+			NumBridges:      len(bridges),
+		},
+		edgeComp: res.EdgeComponent,
+		memo:     new(resultMemo),
 	}
-	if include["articulation"] {
-		qr.ArticulationPoints = cuts
-	}
-	if include["bridges"] {
-		qr.Bridges = bridges
-	}
-	addViews(qr, res, include)
+	qr.memo.seed(fragArticulation, func() ([]byte, error) { return viewField("articulation_points", len(cuts), cuts) })
+	qr.memo.seed(fragBridges, func() ([]byte, error) { return viewField("bridges", len(bridges), bridges) })
 	return qr
 }
 
-// addViews sets each view include asks for that qr does not carry yet,
-// derived from res, the decomposition qr describes.
-func addViews(qr *queryResult, res *bicc.Result, include map[string]bool) {
-	if include["articulation"] && qr.ArticulationPoints == nil {
-		qr.ArticulationPoints = res.ArticulationPoints()
+// buildFragment renders fragment f of res. The view fragments come from a
+// Result reconstructed from the labels on g; each is built at most once per
+// cached entry, so the reconstruction is not shared between them.
+func buildFragment(res *queryResult, g *bicc.Graph, f frag) ([]byte, error) {
+	switch f {
+	case fragHead:
+		b, err := json.Marshal(res.resultHead)
+		if err != nil {
+			return nil, err
+		}
+		return b[:len(b)-1], nil // the object stays open for the fields after it
+	case fragTail:
+		t := res.resultTail
+		t.Trace = nil // a fragment of its own: only ?trace=1 requests carry it
+		b, err := json.Marshal(t)
+		if err != nil || len(b) == 2 { // "{}": every field omitted
+			return nil, err
+		}
+		b[0] = ','
+		return b[:len(b)-1], nil
+	case fragTrace:
+		if res.Trace == nil {
+			return nil, nil
+		}
+		return field("trace", res.Trace)
 	}
-	if include["bridges"] && qr.Bridges == nil {
-		qr.Bridges = res.Bridges()
+	if res.edgeComp == nil {
+		return nil, fmt.Errorf("result carries no edge labeling")
 	}
-	if include["components"] && qr.Components == nil {
-		qr.Components = res.Components()
+	algo, err := bicc.ParseAlgorithm(res.Algorithm)
+	if err != nil {
+		return nil, err
 	}
-	if include["blockcut"] && qr.BlockCut == nil {
-		t := res.BlockCutTree()
-		qr.BlockCut = &blockCutJSON{
+	r, err := bicc.ReconstructResult(g, algo, res.edgeComp)
+	if err != nil {
+		return nil, err
+	}
+	switch f {
+	case fragArticulation:
+		cuts := r.ArticulationPoints()
+		return viewField("articulation_points", len(cuts), cuts)
+	case fragBridges:
+		bridges := r.Bridges()
+		return viewField("bridges", len(bridges), bridges)
+	case fragComponents:
+		comps := r.Components()
+		return viewField("components", len(comps), comps)
+	case fragBlockCut:
+		t := r.BlockCutTree()
+		return field("blockcut", &blockCutJSON{
 			NumBlocks:   t.NumBlocks(),
 			NumNodes:    t.NumNodes(),
 			NumEdges:    t.NumTreeEdges(),
 			CutVertices: t.CutVertices(),
 			LeafBlocks:  t.LeafBlocks(),
-		}
+		})
 	}
+	return nil, fmt.Errorf("unknown response fragment %d", f)
+}
+
+// field renders v as a non-first field of a JSON object: `,"name":<v>`.
+func field(name string, v any) ([]byte, error) {
+	b, err := json.Marshal(v)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]byte, 0, len(name)+4+len(b))
+	out = append(out, ',', '"')
+	out = append(out, name...)
+	out = append(out, '"', ':')
+	return append(out, b...), nil
+}
+
+// viewField is field for an omitempty view of length n: an empty view
+// renders as nothing, as encoding/json omits it.
+func viewField(name string, n int, v any) ([]byte, error) {
+	if n == 0 {
+		return nil, nil
+	}
+	return field(name, v)
 }
 
 // runEngine admits and runs one engine computation under the circuit
@@ -850,12 +951,12 @@ func (s *Server) runEngine(ctx context.Context, g *bicc.Graph, algo bicc.Algorit
 	return res, elapsed, routedCause, nil
 }
 
-// compute admits and runs one engine computation, then derives every
-// cacheable view the include set asks for. It is the fault-isolation
+// compute admits and runs one engine computation, then derives the
+// cacheable counts and metadata from it. It is the fault-isolation
 // boundary of the service: the circuit breaker decides whether the parallel
 // path may be used at all, the engine runs under the sequential-fallback
 // policy, and outcomes feed the breaker and the fault counters.
-func (s *Server) compute(ctx context.Context, g *bicc.Graph, algo bicc.Algorithm, procs int, include map[string]bool) (*queryResult, error) {
+func (s *Server) compute(ctx context.Context, g *bicc.Graph, algo bicc.Algorithm, procs int) (*queryResult, error) {
 	// Every computation is traced: admission wait, each engine attempt, and
 	// the pipeline phases inside it. The trace rides the cached result and
 	// is serialized only for ?trace=1 requests.
@@ -867,7 +968,7 @@ func (s *Server) compute(ctx context.Context, g *bicc.Graph, algo bicc.Algorithm
 	if err != nil {
 		return nil, err
 	}
-	out := newQueryResult(res, include)
+	out := newQueryResult(res)
 	out.ElapsedNs = int64(elapsed)
 	for _, ph := range res.Phases {
 		out.Phases = append(out.Phases, map[string]any{"name": ph.Name, "ns": int64(ph.Duration)})

@@ -339,10 +339,10 @@ func (s *Server) routeShard(w http.ResponseWriter, ctx context.Context, q *shard
 func (s *Server) monolithicFallback(w http.ResponseWriter, ctx context.Context, q *shardQuery) bool {
 	key := resultKey{fp: q.fp, gen: q.gen, algo: q.algo, procs: q.procs}
 	qres, err, _ := s.cache.Do(ctx, key, func(cctx context.Context) (*queryResult, error) {
-		if qr, ok := s.incrServe(q.fp, q.g, q.algo, q.procs, nil); ok {
+		if qr, ok := s.incrServe(q.fp, q.g, q.algo, q.procs); ok {
 			return qr, nil
 		}
-		return s.compute(cctx, q.g, q.algo, q.procs, nil)
+		return s.compute(cctx, q.g, q.algo, q.procs)
 	})
 	if err != nil {
 		switch {
